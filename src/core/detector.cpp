@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/injector.h"
 #include "obs/recorder.h"
 
 namespace llmfi::core {
@@ -120,16 +121,16 @@ ChecksumProfile profile_checksums(model::InferenceModel& engine,
   };
 
   ResidualProbe probe(profile);
-  nn::LinearHook* previous = engine.linear_hook();
-  engine.set_linear_hook(&probe);
-  for (const auto& prompt : prompts) {
-    std::vector<tok::TokenId> ids = {vocab.bos()};
-    const auto body = vocab.encode(prompt);
-    ids.insert(ids.end(), body.begin(), body.end());
-    auto cache = engine.make_cache();
-    (void)engine.forward(ids, cache, /*pass_index=*/0);
+  {
+    LinearHookGuard guard(engine, &probe);
+    for (const auto& prompt : prompts) {
+      std::vector<tok::TokenId> ids = {vocab.bos()};
+      const auto body = vocab.encode(prompt);
+      ids.insert(ids.end(), body.begin(), body.end());
+      auto cache = engine.make_cache();
+      (void)engine.forward(ids, cache, /*pass_index=*/0);
+    }
   }
-  engine.set_linear_hook(previous);
   for (auto& [kind, tol] : profile.tolerance) {
     // Small absolute floor so a perfectly-exact calibration run (tiny
     // models in fp32) does not produce a zero tolerance that trips on

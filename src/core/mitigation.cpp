@@ -3,26 +3,33 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/injector.h"
+#include "core/tracer.h"
+
 namespace llmfi::core {
 
 ActivationProfile profile_activations(
     model::InferenceModel& engine, const tok::Vocab& vocab,
     const std::vector<std::string>& prompts, float margin) {
   ActivationProfile profile;
-  engine.set_tracer([&profile](const nn::LinearId& id, const tn::Tensor& y) {
-    float& bound = profile.bound[id.kind];
-    for (float v : y.flat()) {
-      if (std::isfinite(v)) bound = std::max(bound, std::fabs(v));
+  LinearRecorder recorder(
+      engine.linear_hook(),
+      [&profile](const nn::LinearId& id, const tn::Tensor& y) {
+        float& bound = profile.bound[id.kind];
+        for (float v : y.flat()) {
+          if (std::isfinite(v)) bound = std::max(bound, std::fabs(v));
+        }
+      });
+  {
+    LinearHookGuard guard(engine, &recorder);
+    for (const auto& prompt : prompts) {
+      std::vector<tok::TokenId> ids = {vocab.bos()};
+      const auto body = vocab.encode(prompt);
+      ids.insert(ids.end(), body.begin(), body.end());
+      auto cache = engine.make_cache();
+      (void)engine.forward(ids, cache, /*pass_index=*/0);
     }
-  });
-  for (const auto& prompt : prompts) {
-    std::vector<tok::TokenId> ids = {vocab.bos()};
-    const auto body = vocab.encode(prompt);
-    ids.insert(ids.end(), body.begin(), body.end());
-    auto cache = engine.make_cache();
-    (void)engine.forward(ids, cache, /*pass_index=*/0);
   }
-  engine.set_tracer(nullptr);
   for (auto& [kind, bound] : profile.bound) bound *= margin;
   return profile;
 }

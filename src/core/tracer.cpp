@@ -5,17 +5,34 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/injector.h"
+
 namespace llmfi::core {
+
+void LinearRecorder::on_linear_output(const nn::LinearId& id, tn::Tensor& y,
+                                      int pass_index, int row_offset) {
+  if (next_ != nullptr) next_->on_linear_output(id, y, pass_index, row_offset);
+  record_(id, y);
+}
+
+void LinearRecorder::on_linear(const nn::LinearId& id, const tn::Tensor& x,
+                               const nn::WeightMatrix& w, tn::Tensor& y,
+                               int pass_index, int row_offset) {
+  if (next_ != nullptr) next_->on_linear(id, x, w, y, pass_index, row_offset);
+  record_(id, y);
+}
 
 std::vector<CapturedLayer> capture_layer_outputs(
     model::InferenceModel& m, std::span<const tok::TokenId> prompt) {
   std::vector<CapturedLayer> captured;
-  m.set_tracer([&captured](const nn::LinearId& id, const tn::Tensor& y) {
-    captured.push_back({id, y});
-  });
+  LinearRecorder recorder(
+      m.linear_hook(),
+      [&captured](const nn::LinearId& id, const tn::Tensor& y) {
+        captured.push_back({id, y});
+      });
+  LinearHookGuard guard(m, &recorder);
   auto cache = m.make_cache();
   (void)m.forward(prompt, cache, /*pass_index=*/0);
-  m.set_tracer(nullptr);
   return captured;
 }
 

@@ -10,6 +10,7 @@
 // traces corruption spread through activations; obs:: traces time.
 // See the README glossary.
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -18,6 +19,29 @@
 #include "tokenizer/vocab.h"
 
 namespace llmfi::core {
+
+// Observation-only hook behind the layer-output profilers: forwards
+// every linear call to the hook installed before it (`next`, may be
+// null), then hands the post-hook output to `record`. Install it with
+// core::LinearHookGuard so a throwing forward still restores `next`.
+// on_install() deliberately does NOT forward: `next` is already armed,
+// and resetting it would re-arm an injector that has fired.
+class LinearRecorder : public nn::LinearHook {
+ public:
+  using RecordFn = std::function<void(const nn::LinearId&, const tn::Tensor&)>;
+  LinearRecorder(nn::LinearHook* next, RecordFn record)
+      : next_(next), record_(std::move(record)) {}
+
+  void on_linear_output(const nn::LinearId& id, tn::Tensor& y, int pass_index,
+                        int row_offset) override;
+  void on_linear(const nn::LinearId& id, const tn::Tensor& x,
+                 const nn::WeightMatrix& w, tn::Tensor& y, int pass_index,
+                 int row_offset) override;
+
+ private:
+  nn::LinearHook* next_;
+  RecordFn record_;
+};
 
 struct CapturedLayer {
   nn::LinearId id;

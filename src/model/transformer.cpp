@@ -44,10 +44,10 @@ void softmax_span(std::span<float> v) {
 }
 
 // Multi-head attention for ONE query row against `ctx` cached positions,
-// restricted to heads [h0, h1). This is the shared per-row kernel of the
-// sequential attention() loop, forward_batch(), and the tensor-parallel
-// head-range split: one fixed reduction order per (head, output dim),
-// independent of how many other rows — or shards — share the pass.
+// restricted to heads [h0, h1). This is the per-row kernel of the segment
+// pass and of its tensor-parallel head-range split: one fixed reduction
+// order per (head, output dim), independent of how many other rows — or
+// shards — share the pass.
 void attend_row(std::span<const float> qrow, std::span<float> orow,
                 const nn::KvView& keys, const nn::KvView& values,
                 tn::Index ctx, int h0, int h1, tn::Index d_head,
@@ -249,16 +249,6 @@ tn::Tensor InferenceModel::project_tp(const nn::WeightMatrix& w,
   }
 }
 
-bool InferenceModel::fuse_eligible() const {
-  // Quantized weights are excluded so the fast tiers keep routing them
-  // through the integer qmatmul path rather than the fused fp32 product.
-  // An armed shard hook also disables fusion: tp faults need the
-  // unfused per-layer dispatch to fire inside the down projection.
-  return hook_ == nullptr && !tracer_ && shard_hook_ == nullptr &&
-         prec_.act_dtype == num::DType::F32 &&
-         !num::is_quantized_dtype(prec_.weight_dtype);
-}
-
 void InferenceModel::qkv_fused(BlockStorage& blk, const tn::Tensor& x,
                                tn::Tensor* q, tn::Tensor* k,
                                tn::Tensor* v) const {
@@ -279,134 +269,82 @@ tn::Tensor InferenceModel::dense_mlp_fused(BlockStorage& blk, int block_idx,
   tn::Tensor& g = ys[0];
   tn::silu_inplace(g);
   tn::mul_inplace(g, ys[1]);
-  // Fusion requires shard_hook_ == nullptr (fuse_eligible), so the down
-  // product here never fires it.
+  // Fusion requires shard_hook_ == nullptr (see run_segments), so the
+  // down product here never fires it.
   return project_tp(blk.mlp[2], g, {block_idx, nn::LayerKind::DownProj, -1}, 0,
                     0, nullptr);
 }
 
-tn::Tensor InferenceModel::linear(const nn::WeightMatrix& w,
+tn::Tensor InferenceModel::linear(const Pass& p, const nn::WeightMatrix& w,
                                   const tn::Tensor& x, const nn::LinearId& id,
-                                  int pass_index, int row_offset) {
-  tn::Tensor y = project_tp(w, x, id, pass_index, row_offset, shard_hook_);
+                                  int row) {
+  const auto r0 = static_cast<size_t>(row < 0 ? 0 : row);
+  // The shard hook fires only on forward()'s single-segment pass, so
+  // segment 0's pass index and first position are its coordinates.
+  tn::Tensor y = project_tp(w, x, id, p.segs[0].pass_index, p.pos[r0],
+                            p.batched ? nullptr : shard_hook_);
   round_activations(y);
-  if (hook_ != nullptr) hook_->on_linear(id, x, w, y, pass_index, row_offset);
-  if (tracer_) tracer_(id, y);
-  return y;
-}
-
-tn::Tensor InferenceModel::linear_hooked(const nn::WeightMatrix& w,
-                                         const tn::Tensor& x,
-                                         const nn::LinearId& id,
-                                         int pass_index, int row_offset,
-                                         nn::LinearHook* hook) {
-  tn::Tensor y = project_tp(w, x, id, pass_index, row_offset, nullptr);
-  round_activations(y);
-  if (hook != nullptr) hook->on_linear(id, x, w, y, pass_index, row_offset);
-  return y;
-}
-
-tn::Tensor InferenceModel::linear_batch(const nn::WeightMatrix& w,
-                                        const tn::Tensor& x,
-                                        const nn::LinearId& id,
-                                        std::span<BatchRow> rows,
-                                        std::span<const int> pos) {
-  // The engine shard hook is NOT fired on the batch path (mirroring the
-  // engine linear hook/tracer): tp-fault campaigns run sequential
-  // trials. The product itself is the same segmented/sharded dispatch,
-  // so batch rows stay bit-identical to sequential decode.
-  tn::Tensor y = project_tp(w, x, id, 0, 0, nullptr);
-  round_activations(y);
-  // Per-row hook dispatch: each hooked row is copied into 1-row scratch
-  // tensors so the hook sees the same shapes, pass_index, and row_offset
-  // as in a single-sequence decode pass (rows()==1 makes the injector's
-  // row_frac resolution land on row 0 either way). Mutations the hook
-  // makes to its y view are copied back into the batch.
-  for (size_t r = 0; r < rows.size(); ++r) {
-    nn::LinearHook* hook = rows[r].hook;
-    if (hook == nullptr) continue;
-    // Attribute anything the hook records (injections, detector trips)
-    // to the request owning row r — see obs::RowContextGuard in the
-    // serve layer. Observation-only: never read by the dispatch itself.
-    obs::RowContextScope rctx(static_cast<int>(r));
-    const auto t = static_cast<tn::Index>(r);
-    tn::Tensor xrow({1, x.cols()});
-    tn::Tensor yrow({1, y.cols()});
-    auto xs = x.row(t);
-    auto ys = y.row(t);
-    std::copy(xs.begin(), xs.end(), xrow.row(0).begin());
-    std::copy(ys.begin(), ys.end(), yrow.row(0).begin());
-    hook->on_linear(id, xrow, w, yrow, rows[r].pass_index,
-                    pos[r]);
-    auto yd = yrow.row(0);
-    std::copy(yd.begin(), yd.end(), y.row(t).begin());
-  }
-  return y;
-}
-
-tn::Tensor InferenceModel::attention(const tn::Tensor& q, int block,
-                                     const nn::KvCache& cache,
-                                     tn::Index prev_len) const {
-  const tn::Index t_new = q.rows();
-  // Views are taken after this block's appends: a paged append may have
-  // acquired or copy-on-write-remapped pages.
-  const nn::KvView keys = cache.key_view(block);
-  const nn::KvView values = cache.value_view(block);
-
-  tn::Tensor out({t_new, q.cols()});
-  if (group_ == nullptr || group_->size() < 2) {
-    std::vector<float> scores;
-    for (tn::Index t = 0; t < t_new; ++t) {
-      const tn::Index ctx = prev_len + t + 1;  // causal: positions 0..abs
-      attend_row(q.row(t), out.row(t), keys, values, ctx, 0, config_.n_heads,
-                 config_.d_head(), scores);
+  // Anything a hook records (injections, detector trips) is attributed to
+  // the request owning its segment — see obs::RowContextGuard in the
+  // serve layer. Observation-only: never read by the dispatch itself.
+  const auto scope_of = [&p](size_t s) {
+    return p.batched ? static_cast<int>(s) : -1;
+  };
+  if (row >= 0 || p.segs.size() == 1) {
+    const auto s = static_cast<size_t>(p.seg_of[r0]);
+    if (nn::LinearHook* hook = p.segs[s].hook) {
+      obs::RowContextScope rctx(scope_of(s));
+      hook->on_linear(id, x, w, y, p.segs[s].pass_index, p.pos[r0]);
     }
-  } else {
-    // Head-parallel: shard s computes heads [hb[s], hb[s+1]) of every
-    // row — per-head math is untouched, so the split is bit-exact.
-    const std::vector<int> hb =
-        shard::head_bounds(config_.n_heads, group_->size());
-    group_->run([&](int s) {
-      std::vector<float> scores;
-      for (tn::Index t = 0; t < t_new; ++t) {
-        const tn::Index ctx = prev_len + t + 1;
-        attend_row(q.row(t), out.row(t), keys, values, ctx,
-                   hb[static_cast<size_t>(s)], hb[static_cast<size_t>(s) + 1],
-                   config_.d_head(), scores);
-      }
-    });
+    return y;
   }
-  return out;
+  for (size_t s = 0; s < p.segs.size(); ++s) {
+    nn::LinearHook* hook = p.segs[s].hook;
+    if (hook == nullptr) continue;
+    obs::RowContextScope rctx(scope_of(s));
+    const tn::Index n = p.first[s + 1] - p.first[s];
+    tn::Tensor xs({n, x.cols()});
+    tn::Tensor ys({n, y.cols()});
+    const auto xsrc = x.flat().subspan(
+        static_cast<size_t>(p.first[s] * x.cols()), xs.flat().size());
+    const auto yseg = y.flat().subspan(
+        static_cast<size_t>(p.first[s] * y.cols()), ys.flat().size());
+    std::copy(xsrc.begin(), xsrc.end(), xs.flat().begin());
+    std::copy(yseg.begin(), yseg.end(), ys.flat().begin());
+    hook->on_linear(id, xs, w, ys, p.segs[s].pass_index,
+                    p.pos[static_cast<size_t>(p.first[s])]);
+    std::copy(ys.flat().begin(), ys.flat().end(), yseg.begin());
+  }
+  return y;
 }
 
-tn::Tensor InferenceModel::dense_mlp(BlockStorage& blk, int block_idx,
-                                     const tn::Tensor& h, int pass_index,
-                                     int row_offset) {
-  tn::Tensor g = linear(blk.mlp[0], h, {block_idx, nn::LayerKind::GateProj, -1},
-                        pass_index, row_offset);
-  tn::Tensor u = linear(blk.mlp[1], h, {block_idx, nn::LayerKind::UpProj, -1},
-                        pass_index, row_offset);
+tn::Tensor InferenceModel::dense_mlp(const Pass& p, BlockStorage& blk,
+                                     int block_idx, const tn::Tensor& h) {
+  tn::Tensor g =
+      linear(p, blk.mlp[0], h, {block_idx, nn::LayerKind::GateProj, -1});
+  tn::Tensor u =
+      linear(p, blk.mlp[1], h, {block_idx, nn::LayerKind::UpProj, -1});
   tn::silu_inplace(g);
   tn::mul_inplace(g, u);
   round_activations(g);
-  return linear(blk.mlp[2], g, {block_idx, nn::LayerKind::DownProj, -1},
-                pass_index, row_offset);
+  return linear(p, blk.mlp[2], g, {block_idx, nn::LayerKind::DownProj, -1});
 }
 
-tn::Tensor InferenceModel::moe_mlp(BlockStorage& blk, int block_idx,
-                                   const tn::Tensor& h, int pass_index,
-                                   int row_offset) {
+tn::Tensor InferenceModel::moe_mlp(const Pass& p, BlockStorage& blk,
+                                   int block_idx, const tn::Tensor& h) {
   const int n_experts = config_.n_experts;
   const int top_k = config_.top_k;
   tn::Tensor router_logits =
-      linear(blk.router[0], h, {block_idx, nn::LayerKind::Router, -1},
-             pass_index, row_offset);
+      linear(p, blk.router[0], h, {block_idx, nn::LayerKind::Router, -1});
 
+  // Router softmax, top-k and every expert linear run per row on
+  // single-token views, at the row's absolute position.
   tn::Tensor out({h.rows(), h.cols()});
   std::vector<float> probs(static_cast<size_t>(n_experts));
   std::vector<int> order(static_cast<size_t>(n_experts));
   std::vector<int> chosen;
   for (tn::Index t = 0; t < h.rows(); ++t) {
+    const int row = static_cast<int>(t);
     auto lrow = router_logits.row(t);
     std::copy(lrow.begin(), lrow.end(), probs.begin());
     softmax_span(probs);
@@ -418,93 +356,8 @@ tn::Tensor InferenceModel::moe_mlp(BlockStorage& blk, int block_idx,
                       });
     chosen.assign(order.begin(), order.begin() + top_k);
     if (expert_obs_ != nullptr) {
-      expert_obs_->on_expert_selection(
-          block_idx, row_offset + static_cast<int>(t), chosen);
-    }
-    float mass = 0.0f;
-    for (int e : chosen) mass += probs[static_cast<size_t>(e)];
-    if (mass <= 0.0f) mass = 1.0f;
-
-    // Single-token view of h for the expert MLPs.
-    tn::Tensor hrow({1, h.cols()});
-    auto hsrc = h.row(t);
-    std::copy(hsrc.begin(), hsrc.end(), hrow.row(0).begin());
-
-    auto orow = out.row(t);
-    for (int rank = 0; rank < top_k; ++rank) {
-      const int e = chosen[static_cast<size_t>(rank)];
-      auto& ex = blk.experts[static_cast<size_t>(e)];
-      const float weight = probs[static_cast<size_t>(e)] / mass;
-      tn::Tensor g =
-          linear(ex.gate, hrow, {block_idx, nn::LayerKind::ExpertGate, e},
-                 pass_index, row_offset + static_cast<int>(t));
-      tn::Tensor u =
-          linear(ex.up, hrow, {block_idx, nn::LayerKind::ExpertUp, e},
-                 pass_index, row_offset + static_cast<int>(t));
-      tn::silu_inplace(g);
-      tn::mul_inplace(g, u);
-      round_activations(g);
-      tn::Tensor d =
-          linear(ex.down, g, {block_idx, nn::LayerKind::ExpertDown, e},
-                 pass_index, row_offset + static_cast<int>(t));
-      auto drow = d.row(0);
-      for (tn::Index j = 0; j < h.cols(); ++j) orow[j] += weight * drow[j];
-    }
-  }
-  round_activations(out);
-  return out;
-}
-
-tn::Tensor InferenceModel::dense_mlp_batch(BlockStorage& blk, int block_idx,
-                                           const tn::Tensor& h,
-                                           std::span<BatchRow> rows,
-                                           std::span<const int> pos) {
-  tn::Tensor g = linear_batch(blk.mlp[0], h,
-                              {block_idx, nn::LayerKind::GateProj, -1}, rows,
-                              pos);
-  tn::Tensor u = linear_batch(blk.mlp[1], h,
-                              {block_idx, nn::LayerKind::UpProj, -1}, rows,
-                              pos);
-  tn::silu_inplace(g);
-  tn::mul_inplace(g, u);
-  round_activations(g);
-  return linear_batch(blk.mlp[2], g,
-                      {block_idx, nn::LayerKind::DownProj, -1}, rows, pos);
-}
-
-tn::Tensor InferenceModel::moe_mlp_batch(BlockStorage& blk, int block_idx,
-                                         const tn::Tensor& h,
-                                         std::span<BatchRow> rows,
-                                         std::span<const int> pos) {
-  const int n_experts = config_.n_experts;
-  const int top_k = config_.top_k;
-  tn::Tensor router_logits = linear_batch(
-      blk.router[0], h, {block_idx, nn::LayerKind::Router, -1}, rows, pos);
-
-  // From here the sequential path is already per-row (router softmax,
-  // top-k, and every expert linear run on single-token views), so the
-  // batch variant only swaps in each row's own hook and position.
-  tn::Tensor out({h.rows(), h.cols()});
-  std::vector<float> probs(static_cast<size_t>(n_experts));
-  std::vector<int> order(static_cast<size_t>(n_experts));
-  std::vector<int> chosen;
-  for (tn::Index t = 0; t < h.rows(); ++t) {
-    const auto r = static_cast<size_t>(t);
-    // Row context for the per-row expert linears below (same contract as
-    // the linear_batch per-row dispatch).
-    obs::RowContextScope rctx(static_cast<int>(t));
-    auto lrow = router_logits.row(t);
-    std::copy(lrow.begin(), lrow.end(), probs.begin());
-    softmax_span(probs);
-    for (int e = 0; e < n_experts; ++e) order[static_cast<size_t>(e)] = e;
-    std::partial_sort(order.begin(), order.begin() + top_k, order.end(),
-                      [&probs](int a, int b) {
-                        return probs[static_cast<size_t>(a)] >
-                               probs[static_cast<size_t>(b)];
-                      });
-    chosen.assign(order.begin(), order.begin() + top_k);
-    if (expert_obs_ != nullptr) {
-      expert_obs_->on_expert_selection(block_idx, pos[r], chosen);
+      expert_obs_->on_expert_selection(block_idx,
+                                       p.pos[static_cast<size_t>(t)], chosen);
     }
     float mass = 0.0f;
     for (int e : chosen) mass += probs[static_cast<size_t>(e)];
@@ -519,18 +372,15 @@ tn::Tensor InferenceModel::moe_mlp_batch(BlockStorage& blk, int block_idx,
       const int e = chosen[static_cast<size_t>(rank)];
       auto& ex = blk.experts[static_cast<size_t>(e)];
       const float weight = probs[static_cast<size_t>(e)] / mass;
-      tn::Tensor g = linear_hooked(ex.gate, hrow,
-                                   {block_idx, nn::LayerKind::ExpertGate, e},
-                                   rows[r].pass_index, pos[r], rows[r].hook);
-      tn::Tensor u = linear_hooked(ex.up, hrow,
-                                   {block_idx, nn::LayerKind::ExpertUp, e},
-                                   rows[r].pass_index, pos[r], rows[r].hook);
+      tn::Tensor g = linear(p, ex.gate, hrow,
+                            {block_idx, nn::LayerKind::ExpertGate, e}, row);
+      tn::Tensor u = linear(p, ex.up, hrow,
+                            {block_idx, nn::LayerKind::ExpertUp, e}, row);
       tn::silu_inplace(g);
       tn::mul_inplace(g, u);
       round_activations(g);
-      tn::Tensor d = linear_hooked(ex.down, g,
-                                   {block_idx, nn::LayerKind::ExpertDown, e},
-                                   rows[r].pass_index, pos[r], rows[r].hook);
+      tn::Tensor d = linear(p, ex.down, g,
+                            {block_idx, nn::LayerKind::ExpertDown, e}, row);
       auto drow = d.row(0);
       for (tn::Index j = 0; j < h.cols(); ++j) orow[j] += weight * drow[j];
     }
@@ -539,33 +389,46 @@ tn::Tensor InferenceModel::moe_mlp_batch(BlockStorage& blk, int block_idx,
   return out;
 }
 
-tn::Tensor InferenceModel::forward_batch(std::span<BatchRow> rows) {
-  const auto t_new = static_cast<tn::Index>(rows.size());
-  assert(t_new > 0);
+tn::Tensor InferenceModel::run_segments(std::span<Segment> segs,
+                                        bool batched) {
+  assert(!segs.empty());
   const tn::Index d = config_.d_model;
+  Pass p{.segs = segs, .first = {0}, .seg_of = {}, .pos = {},
+         .batched = batched};
+  // Positions are captured once: the appends below do not advance the
+  // caches until the pass ends.
+  for (size_t s = 0; s < segs.size(); ++s) {
+    assert(!segs[s].tokens.empty());
+    const auto start = static_cast<int>(segs[s].cache->length());
+    for (size_t t = 0; t < segs[s].tokens.size(); ++t) {
+      p.seg_of.push_back(static_cast<int>(s));
+      p.pos.push_back(start + static_cast<int>(t));
+    }
+    p.first.push_back(static_cast<tn::Index>(p.pos.size()));
+  }
+  const auto n_rows = static_cast<tn::Index>(p.pos.size());
 
-  // Row r's absolute position is its own cache length; captured once
-  // because appends below do not advance the caches until the pass ends.
-  std::vector<int> pos(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    pos[r] = static_cast<int>(rows[r].cache->length());
+  tn::Tensor x({n_rows, d});
+  tn::Index row = 0;
+  for (const auto& seg : segs) {
+    for (const tok::TokenId id : seg.tokens) {
+      assert(id >= 0 && id < config_.vocab_size);
+      auto src = embedding_.row(id);
+      std::copy(src.begin(), src.end(), x.row(row++).begin());
+    }
   }
 
-  tn::Tensor x({t_new, d});
-  for (tn::Index t = 0; t < t_new; ++t) {
-    const auto id = rows[static_cast<size_t>(t)].token;
-    assert(id >= 0 && id < config_.vocab_size);
-    auto src = embedding_.row(id);
-    std::copy(src.begin(), src.end(), x.row(t).begin());
-  }
-
-  // Batched fusion eligibility is per-pass: every row must be unhooked
-  // (a single armed fault hook needs the unfused per-row dispatch).
-  bool any_hook = false;
-  for (const auto& r : rows) any_hook = any_hook || r.hook != nullptr;
-  const bool fuse = !any_hook && shard_hook_ == nullptr &&
+  bool hooked = false;
+  for (const auto& seg : segs) hooked = hooked || seg.hook != nullptr;
+  // An armed shard hook disables fusion even where it does not fire: tp
+  // faults need the unfused per-layer dispatch inside the down
+  // projection. Quantized weights keep the fast tiers on the integer
+  // qmatmul path rather than the fused fp32 product.
+  const bool fuse = !hooked && shard_hook_ == nullptr &&
                     prec_.act_dtype == num::DType::F32 &&
                     !num::is_quantized_dtype(prec_.weight_dtype);
+  std::vector<nn::KvView> kviews(segs.size());
+  std::vector<nn::KvView> vviews(segs.size());
   for (int b = 0; b < config_.n_layers; ++b) {
     auto& blk = blocks_[static_cast<size_t>(b)];
     {
@@ -576,52 +439,52 @@ tn::Tensor InferenceModel::forward_batch(std::span<BatchRow> rows) {
       } else {
         tn::Tensor h = tn::rmsnorm_rows(x, blk.norm1, config_.norm_eps);
         round_activations(h);
-        q = linear_batch(blk.wq, h, {b, nn::LayerKind::QProj, -1}, rows, pos);
-        k = linear_batch(blk.wk, h, {b, nn::LayerKind::KProj, -1}, rows, pos);
-        v = linear_batch(blk.wv, h, {b, nn::LayerKind::VProj, -1}, rows, pos);
+        q = linear(p, blk.wq, h, {b, nn::LayerKind::QProj, -1});
+        k = linear(p, blk.wk, h, {b, nn::LayerKind::KProj, -1});
+        v = linear(p, blk.wv, h, {b, nn::LayerKind::VProj, -1});
       }
-      nn::apply_rope_rows(q, config_.n_heads, pos, config_.rope_theta);
-      nn::apply_rope_rows(k, config_.n_heads, pos, config_.rope_theta);
-      for (tn::Index t = 0; t < t_new; ++t) {
-        rows[static_cast<size_t>(t)].cache->append_row(b, k.row(t), v.row(t));
+      nn::apply_rope_rows(q, config_.n_heads, p.pos, config_.rope_theta);
+      nn::apply_rope_rows(k, config_.n_heads, p.pos, config_.rope_theta);
+      for (size_t s = 0; s < segs.size(); ++s) {
+        const auto off = static_cast<size_t>(p.first[s] * d);
+        const auto len =
+            static_cast<size_t>((p.first[s + 1] - p.first[s]) * d);
+        segs[s].cache->append_rows(b, k.flat().subspan(off, len),
+                                   v.flat().subspan(off, len));
       }
-
-      // Views are captured once on the driver (the appends above may
-      // have remapped pages); shards then read them concurrently.
-      std::vector<nn::KvView> kviews, vviews;
-      kviews.reserve(rows.size());
-      vviews.reserve(rows.size());
-      for (const auto& r : rows) {
-        kviews.push_back(r.cache->key_view(b));
-        vviews.push_back(r.cache->value_view(b));
+      // Views are captured once on the calling thread, after every append (a
+      // paged append may have acquired or copy-on-write-remapped pages);
+      // shards then read them concurrently.
+      for (size_t s = 0; s < segs.size(); ++s) {
+        kviews[s] = segs[s].cache->key_view(b);
+        vviews[s] = segs[s].cache->value_view(b);
       }
-      tn::Tensor attn({t_new, d});
-      if (group_ == nullptr || group_->size() < 2) {
+      tn::Tensor attn({n_rows, d});
+      const auto attend_heads = [&](int h0, int h1) {
         std::vector<float> scores;
-        for (tn::Index t = 0; t < t_new; ++t) {
+        for (tn::Index t = 0; t < n_rows; ++t) {
           const auto r = static_cast<size_t>(t);
-          const tn::Index ctx = static_cast<tn::Index>(pos[r]) + 1;
-          attend_row(q.row(t), attn.row(t), kviews[r], vviews[r], ctx, 0,
-                     config_.n_heads, config_.d_head(), scores);
+          const auto s = static_cast<size_t>(p.seg_of[r]);
+          // Causal: a row attends over positions 0..its own.
+          attend_row(q.row(t), attn.row(t), kviews[s], vviews[s],
+                     static_cast<tn::Index>(p.pos[r]) + 1, h0, h1,
+                     config_.d_head(), scores);
         }
+      };
+      if (group_ == nullptr || group_->size() < 2) {
+        attend_heads(0, config_.n_heads);
       } else {
+        // Head-parallel: shard s computes heads [hb[s], hb[s+1]) of every
+        // row — per-head math is untouched, so the split is bit-exact.
         const std::vector<int> hb =
             shard::head_bounds(config_.n_heads, group_->size());
         group_->run([&](int s) {
-          std::vector<float> scores;
-          for (tn::Index t = 0; t < t_new; ++t) {
-            const auto r = static_cast<size_t>(t);
-            const tn::Index ctx = static_cast<tn::Index>(pos[r]) + 1;
-            attend_row(q.row(t), attn.row(t), kviews[r], vviews[r], ctx,
-                       hb[static_cast<size_t>(s)],
-                       hb[static_cast<size_t>(s) + 1], config_.d_head(),
-                       scores);
-          }
+          attend_heads(hb[static_cast<size_t>(s)],
+                       hb[static_cast<size_t>(s) + 1]);
         });
       }
       round_activations(attn);
-      tn::Tensor o =
-          linear_batch(blk.wo, attn, {b, nn::LayerKind::OProj, -1}, rows, pos);
+      tn::Tensor o = linear(p, blk.wo, attn, {b, nn::LayerKind::OProj, -1});
       tn::add_inplace(x, o);
     }
 
@@ -633,21 +496,23 @@ tn::Tensor InferenceModel::forward_batch(std::span<BatchRow> rows) {
       } else {
         tn::Tensor h2 = tn::rmsnorm_rows(x, blk.norm2, config_.norm_eps);
         round_activations(h2);
-        m = config_.moe ? moe_mlp_batch(blk, b, h2, rows, pos)
-                        : dense_mlp_batch(blk, b, h2, rows, pos);
+        m = config_.moe ? moe_mlp(p, blk, b, h2) : dense_mlp(p, blk, b, h2);
       }
       tn::add_inplace(x, m);
     }
   }
-  for (auto& r : rows) r.cache->advance(1);
+  for (auto& seg : segs) {
+    seg.cache->advance(static_cast<tn::Index>(seg.tokens.size()));
+  }
 
   tn::Tensor xf = tn::rmsnorm_rows(x, final_norm_, config_.norm_eps);
   round_activations(xf);
   tn::Tensor logits = tn::matmul_bt(xf, embedding_);
-  for (tn::Index t = 0; t < t_new; ++t) {
+  for (tn::Index t = 0; t < n_rows; ++t) {
+    auto& seg = segs[static_cast<size_t>(p.seg_of[static_cast<size_t>(t)])];
     for (float v2 : logits.row(t)) {
       if (!std::isfinite(v2)) {
-        rows[static_cast<size_t>(t)].nonfinite = true;
+        seg.nonfinite = true;
         break;
       }
     }
@@ -657,78 +522,29 @@ tn::Tensor InferenceModel::forward_batch(std::span<BatchRow> rows) {
 
 tn::Tensor InferenceModel::forward(std::span<const tok::TokenId> tokens,
                                    nn::KvCache& cache, int pass_index) {
-  const auto t_new = static_cast<tn::Index>(tokens.size());
-  assert(t_new > 0);
-  const tn::Index d = config_.d_model;
-  const tn::Index prev_len = cache.length();
-  const int row_offset = static_cast<int>(prev_len);
+  Segment seg{.tokens = tokens,
+              .cache = &cache,
+              .pass_index = pass_index,
+              .hook = hook_,
+              .nonfinite = false};
+  tn::Tensor logits = run_segments({&seg, 1}, /*batched=*/false);
+  if (seg.nonfinite) saw_nonfinite_logits_ = true;
+  return logits;
+}
 
-  tn::Tensor x({t_new, d});
-  for (tn::Index t = 0; t < t_new; ++t) {
-    const auto id = tokens[static_cast<size_t>(t)];
-    assert(id >= 0 && id < config_.vocab_size);
-    auto src = embedding_.row(id);
-    std::copy(src.begin(), src.end(), x.row(t).begin());
+tn::Tensor InferenceModel::forward_batch(std::span<BatchRow> rows) {
+  std::vector<Segment> segs;
+  segs.reserve(rows.size());
+  for (auto& r : rows) {
+    segs.push_back({.tokens = {&r.token, 1},
+                    .cache = r.cache,
+                    .pass_index = r.pass_index,
+                    .hook = r.hook,
+                    .nonfinite = false});
   }
-
-  // When nothing observes the normalized intermediates, norm1/norm2 fuse
-  // with their input projections (bit-identical to the unfused pair at
-  // every kernel tier — see fused_rmsnorm_matmul_bt).
-  const bool fuse = fuse_eligible();
-  for (int b = 0; b < config_.n_layers; ++b) {
-    auto& blk = blocks_[static_cast<size_t>(b)];
-    {
-      obs::TraceScope attn_span("attn", b);
-      tn::Tensor q, k, v;
-      if (fuse) {
-        qkv_fused(blk, x, &q, &k, &v);
-      } else {
-        tn::Tensor h = tn::rmsnorm_rows(x, blk.norm1, config_.norm_eps);
-        round_activations(h);
-        q = linear(blk.wq, h, {b, nn::LayerKind::QProj, -1}, pass_index,
-                   row_offset);
-        k = linear(blk.wk, h, {b, nn::LayerKind::KProj, -1}, pass_index,
-                   row_offset);
-        v = linear(blk.wv, h, {b, nn::LayerKind::VProj, -1}, pass_index,
-                   row_offset);
-      }
-      nn::apply_rope(q, config_.n_heads, static_cast<int>(prev_len),
-                     config_.rope_theta);
-      nn::apply_rope(k, config_.n_heads, static_cast<int>(prev_len),
-                     config_.rope_theta);
-      cache.append(b, k, v);
-
-      tn::Tensor attn = attention(q, b, cache, prev_len);
-      round_activations(attn);
-      tn::Tensor o = linear(blk.wo, attn, {b, nn::LayerKind::OProj, -1},
-                            pass_index, row_offset);
-      tn::add_inplace(x, o);
-    }
-
-    {
-      obs::TraceScope ffn_span("ffn", b);
-      tn::Tensor m;
-      if (fuse && !config_.moe) {
-        m = dense_mlp_fused(blk, b, x);
-      } else {
-        tn::Tensor h2 = tn::rmsnorm_rows(x, blk.norm2, config_.norm_eps);
-        round_activations(h2);
-        m = config_.moe ? moe_mlp(blk, b, h2, pass_index, row_offset)
-                        : dense_mlp(blk, b, h2, pass_index, row_offset);
-      }
-      tn::add_inplace(x, m);
-    }
-  }
-  cache.advance(t_new);
-
-  tn::Tensor xf = tn::rmsnorm_rows(x, final_norm_, config_.norm_eps);
-  round_activations(xf);
-  tn::Tensor logits = tn::matmul_bt(xf, embedding_);
-  for (float v2 : logits.flat()) {
-    if (!std::isfinite(v2)) {
-      saw_nonfinite_logits_ = true;
-      break;
-    }
+  tn::Tensor logits = run_segments(segs, /*batched=*/true);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (segs[r].nonfinite) rows[r].nonfinite = true;
   }
   return logits;
 }

@@ -2,9 +2,8 @@
 // The inference engine: a Llama-architecture decoder-only transformer
 // (Fig 1 of the paper) with reduced-precision weight storage, an
 // activation-rounding pipeline, KV-cached autoregressive decoding, and
-// the hook surface used by the fault injector and the propagation tracer.
+// the hook surface used by the fault injector and detectors.
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -39,7 +38,7 @@ class InferenceModel {
   // per-worker engines: WeightCorruption and the linear hook never touch
   // another worker's storage). Copies the dtype-exact storage bit-for-bit
   // — no re-rounding — so a replica's outputs are bit-identical to the
-  // source's. Hooks, tracer, and diagnostics start clean.
+  // source's. Hooks and diagnostics start clean.
   InferenceModel clone() const;
 
   const ModelConfig& config() const { return config_; }
@@ -56,6 +55,9 @@ class InferenceModel {
   // `pass_index` identifies this forward pass within the current
   // inference (prefill = 0, decode steps = 1, 2, ...); it is forwarded to
   // hooks so computational faults can target one generation iteration.
+  // Fires the engine-level surfaces: set_linear_hook() (on the whole
+  // [tokens, n] x/y, row_offset = the cache's prior length),
+  // set_shard_hook(), and saw_nonfinite_logits().
   tn::Tensor forward(std::span<const tok::TokenId> tokens, nn::KvCache& cache,
                      int pass_index);
 
@@ -74,18 +76,18 @@ class InferenceModel {
   };
 
   // Runs ONE decode pass — one new token per sequence — over all rows at
-  // once and returns logits [rows.size(), vocab]. Every op in the stack
-  // (matmul_bt dot loops, rmsnorm, silu/mul, rounding, RoPE, attention,
-  // argmax downstream) treats rows independently with a fixed per-row
-  // reduction order, so row r's logits are bit-identical to what
-  // forward({rows[r].token}, *rows[r].cache, rows[r].pass_index) would
-  // produce on that cache — for any batch size or row order. Appends one
-  // position to (and advances) every row's cache.
+  // once and returns logits [rows.size(), vocab]. It is the same segment
+  // pass forward() runs, with one segment per row: every op treats rows
+  // independently with a fixed per-row reduction order, so row r's logits
+  // are bit-identical to what forward({rows[r].token}, *rows[r].cache,
+  // rows[r].pass_index) would produce with rows[r].hook installed — for
+  // any batch size or row order. Appends one position to (and advances)
+  // every row's cache.
   //
   // Per-row semantics replace the engine-level surfaces here: the
-  // engine's set_linear_hook()/tracer are NOT fired (each row's
-  // rows[r].hook is, with that row's pass_index and position, on a 1-row
-  // view exactly as the sequential decode path shows it), and nonfinite
+  // engine's set_linear_hook() and shard hook are NOT fired (each row's
+  // rows[r].hook is, with that row's pass_index and position, on that
+  // row's [1, n] x/y exactly as sequential decode shows it), and nonfinite
   // logits set rows[r].nonfinite instead of saw_nonfinite_logits().
   tn::Tensor forward_batch(std::span<BatchRow> rows);
 
@@ -106,8 +108,8 @@ class InferenceModel {
   // tp-reduce fault models). While armed, fused paths are disabled and
   // the partial-sum reduction runs serially so every tree level is
   // observable; outputs without an injecting hook remain byte-identical.
-  // Fired only by the sequential forward() path — tp-fault campaigns
-  // fall back to sequential trials, like detection does.
+  // Fired only by forward() — tp-fault campaigns fall back to
+  // sequential trials, like detection does.
   void set_shard_hook(nn::ShardHook* hook) { shard_hook_ = hook; }
   nn::ShardHook* shard_hook() const { return shard_hook_; }
 
@@ -115,12 +117,6 @@ class InferenceModel {
   void set_linear_hook(nn::LinearHook* hook) { hook_ = hook; }
   nn::LinearHook* linear_hook() const { return hook_; }
   void set_expert_observer(nn::ExpertObserver* obs) { expert_obs_ = obs; }
-
-  // Observation-only tracer fired with every linear layer's (post-round,
-  // post-hook) output; used to build the Fig 5/6 propagation maps.
-  using TraceFn =
-      std::function<void(const nn::LinearId&, const tn::Tensor&)>;
-  void set_tracer(TraceFn fn) { tracer_ = std::move(fn); }
 
   // --- fault-injection target enumeration -------------------------------
   struct LinearRef {
@@ -170,12 +166,6 @@ class InferenceModel {
   tn::Tensor project_tp(const nn::WeightMatrix& w, const tn::Tensor& x,
                         const nn::LinearId& id, int pass_index,
                         int row_offset, nn::ShardHook* shard_hook);
-  // True when the fused RMSNorm+projection entry point may replace the
-  // rmsnorm -> linear pair: nothing observes the normalized intermediate
-  // (no engine hook, no tracer) and activation rounding is a no-op
-  // (fp32). The fusion is bit-identical to the unfused pair at every
-  // kernel tier, so eligibility is about observability, not numerics.
-  bool fuse_eligible() const;
   // Fused norm1 + wq/wk/wv input projections for one pass.
   void qkv_fused(BlockStorage& blk, const tn::Tensor& x, tn::Tensor* q,
                  tn::Tensor* k, tn::Tensor* v) const;
@@ -183,33 +173,49 @@ class InferenceModel {
   tn::Tensor dense_mlp_fused(BlockStorage& blk, int block_idx,
                              const tn::Tensor& x);
 
-  tn::Tensor linear(const nn::WeightMatrix& w, const tn::Tensor& x,
-                    const nn::LinearId& id, int pass_index, int row_offset);
-  // linear() minus the engine hook/tracer: fires only the explicit
-  // per-row `hook` (may be null). The batched expert path uses this so a
-  // request's fault hook never sees another request's rows.
-  tn::Tensor linear_hooked(const nn::WeightMatrix& w, const tn::Tensor& x,
-                           const nn::LinearId& id, int pass_index,
-                           int row_offset, nn::LinearHook* hook);
-  // Batched linear with per-row hook dispatch: one matmul over the whole
-  // batch, then each hooked row is shown to its hook as a [1, n] view
-  // (copied out and back) so hook row resolution matches sequential
-  // decode bit-for-bit. `pos[r]` is row r's absolute position.
-  tn::Tensor linear_batch(const nn::WeightMatrix& w, const tn::Tensor& x,
-                          const nn::LinearId& id, std::span<BatchRow> rows,
-                          std::span<const int> pos);
-  tn::Tensor attention(const tn::Tensor& q, int block,
-                       const nn::KvCache& cache, tn::Index prev_len) const;
-  tn::Tensor dense_mlp(BlockStorage& blk, int block_idx, const tn::Tensor& h,
-                       int pass_index, int row_offset);
-  tn::Tensor moe_mlp(BlockStorage& blk, int block_idx, const tn::Tensor& h,
-                     int pass_index, int row_offset);
-  tn::Tensor dense_mlp_batch(BlockStorage& blk, int block_idx,
-                             const tn::Tensor& h, std::span<BatchRow> rows,
-                             std::span<const int> pos);
-  tn::Tensor moe_mlp_batch(BlockStorage& blk, int block_idx,
-                           const tn::Tensor& h, std::span<BatchRow> rows,
-                           std::span<const int> pos);
+  // --- the segment pass (DESIGN.md §10) --------------------------------
+  // One sequence's rows in a pass: its tokens (1 for decode, the whole
+  // prompt for prefill), its cache, its pass index and its hook.
+  // forward() runs one segment carrying the engine hook; forward_batch()
+  // runs one segment per BatchRow. `nonfinite` is an output.
+  struct Segment {
+    std::span<const tok::TokenId> tokens;
+    nn::KvCache* cache = nullptr;
+    int pass_index = 0;
+    nn::LinearHook* hook = nullptr;
+    bool nonfinite = false;
+  };
+  // Row bookkeeping of one pass, shared by every step of run_segments().
+  struct Pass {
+    std::span<Segment> segs;
+    std::vector<tn::Index> first;  // segs[s] owns rows [first[s], first[s+1])
+    std::vector<int> seg_of;       // owning segment of each row
+    std::vector<int> pos;          // absolute token position of each row
+    // From forward_batch(): hook calls get per-segment row scopes, and
+    // the engine shard hook does not fire.
+    bool batched = false;
+  };
+  // The single decoder pass behind forward() and forward_batch().
+  // norm1/norm2 fuse with their input projections exactly when nothing
+  // observes the normalized intermediate and rounding is a no-op: no
+  // segment hook, no shard hook, fp32 activations, unquantized weights
+  // (the fusion is bit-identical to the unfused pair at every kernel
+  // tier, so eligibility is about observability, not numerics).
+  tn::Tensor run_segments(std::span<Segment> segs, bool batched);
+  // The one linear dispatch: product, activation rounding, then each
+  // hooked segment's hook on its own rows. When x holds exactly one
+  // segment's rows — a single-segment pass, or the single pass row `row`
+  // of the MoE expert path — the hook sees x and y themselves; otherwise
+  // each hooked segment's rows are copied out to its hook and back, so
+  // the hook sees the same shapes, pass_index and row_offset as in a
+  // pass of its own.
+  tn::Tensor linear(const Pass& p, const nn::WeightMatrix& w,
+                    const tn::Tensor& x, const nn::LinearId& id,
+                    int row = -1);
+  tn::Tensor dense_mlp(const Pass& p, BlockStorage& blk, int block_idx,
+                       const tn::Tensor& h);
+  tn::Tensor moe_mlp(const Pass& p, BlockStorage& blk, int block_idx,
+                     const tn::Tensor& h);
   void round_activations(tn::Tensor& x) const;
 
   ModelConfig config_;
@@ -222,7 +228,6 @@ class InferenceModel {
   nn::LinearHook* hook_ = nullptr;
   nn::ExpertObserver* expert_obs_ = nullptr;
   nn::ShardHook* shard_hook_ = nullptr;
-  TraceFn tracer_;
   bool saw_nonfinite_logits_ = false;
 
   // Tensor-parallel state: group_ is live iff tp_ > 1. unique_ptr keeps

@@ -156,53 +156,49 @@ void KvCache::write_row(int block, tn::Index pos, std::span<const float> k,
 }
 
 void KvCache::append(int block, const tn::Tensor& k, const tn::Tensor& v) {
-  check_block(block, n_blocks_);
   if (k.rows() != v.rows() || k.cols() != d_model_ || v.cols() != d_model_) {
     throw std::invalid_argument(
         "KvCache::append: k/v shape mismatch (expect [*, d_model])");
   }
-  if (length_ + k.rows() > max_seq_) {
-    throw std::invalid_argument(
-        "KvCache overflow: sequence exceeds max_seq");
-  }
-  if (pool_) {
-    for (tn::Index t = 0; t < k.rows(); ++t) {
-      write_row(block, length_ + t, k.row(t), v.row(t));
-    }
-    return;
-  }
-  auto& kb = k_[static_cast<size_t>(block)];
-  auto& vb = v_[static_cast<size_t>(block)];
-  // Rows are contiguous on both sides, so each row is one memcpy-able
-  // span copy instead of a scalar element loop.
-  for (tn::Index t = 0; t < k.rows(); ++t) {
-    auto ksrc = k.row(t);
-    auto vsrc = v.row(t);
-    std::copy(ksrc.begin(), ksrc.end(), kb.row(length_ + t).begin());
-    std::copy(vsrc.begin(), vsrc.end(), vb.row(length_ + t).begin());
-  }
+  append_rows(block, k.flat(), v.flat());
 }
 
 void KvCache::append_row(int block, std::span<const float> k,
                          std::span<const float> v) {
-  check_block(block, n_blocks_);
   if (static_cast<tn::Index>(k.size()) != d_model_ ||
       static_cast<tn::Index>(v.size()) != d_model_) {
     throw std::invalid_argument(
         "KvCache::append_row: k/v size mismatch (expect d_model)");
   }
-  if (length_ + 1 > max_seq_) {
+  append_rows(block, k, v);
+}
+
+void KvCache::append_rows(int block, std::span<const float> k,
+                          std::span<const float> v) {
+  check_block(block, n_blocks_);
+  const auto d = static_cast<size_t>(d_model_);
+  if (k.size() != v.size() || d == 0 || k.size() % d != 0) {
+    throw std::invalid_argument(
+        "KvCache::append_rows: k/v size mismatch (expect whole d_model rows)");
+  }
+  const auto n = static_cast<tn::Index>(k.size() / d);
+  if (length_ + n > max_seq_) {
     throw std::invalid_argument(
         "KvCache overflow: sequence exceeds max_seq");
   }
-  if (pool_) {
-    write_row(block, length_, k, v);
-    return;
+  for (tn::Index t = 0; t < n; ++t) {
+    const auto krow = k.subspan(static_cast<size_t>(t) * d, d);
+    const auto vrow = v.subspan(static_cast<size_t>(t) * d, d);
+    if (pool_) {
+      write_row(block, length_ + t, krow, vrow);
+      continue;
+    }
+    // Rows are contiguous on both sides: one memcpy-able span copy each.
+    std::copy(krow.begin(), krow.end(),
+              k_[static_cast<size_t>(block)].row(length_ + t).begin());
+    std::copy(vrow.begin(), vrow.end(),
+              v_[static_cast<size_t>(block)].row(length_ + t).begin());
   }
-  auto& kb = k_[static_cast<size_t>(block)];
-  auto& vb = v_[static_cast<size_t>(block)];
-  std::copy(k.begin(), k.end(), kb.row(length_).begin());
-  std::copy(v.begin(), v.end(), vb.row(length_).begin());
 }
 
 const tn::Tensor& KvCache::keys(int block) const {

@@ -66,11 +66,16 @@ class KvCache {
   // max_seq (checked in every build type, not assert-only).
   void append(int block, const tn::Tensor& k, const tn::Tensor& v);
 
-  // Single-row append for batched decode: k/v are one token's [d_model]
-  // span for `block`. Identical effect to append() with 1-row tensors,
-  // without materializing them.
+  // Single-row append: k/v are one token's [d_model] span for `block`.
+  // Identical effect to append() with 1-row tensors, without
+  // materializing them.
   void append_row(int block, std::span<const float> k,
                   std::span<const float> v);
+
+  // The body of both appends: k/v hold whole [d_model] rows, row-major
+  // (one sequence's rows of a segment pass).
+  void append_rows(int block, std::span<const float> k,
+                   std::span<const float> v);
 
   // Whole-matrix access to one block's cached keys/values. Contiguous
   // layout only (paged rows are not one tensor); throws std::logic_error

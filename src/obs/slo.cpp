@@ -6,22 +6,62 @@
 
 namespace llmfi::obs {
 
+namespace {
+
+// A bucket word packs, from the top: a 22-bit tag naming the wall
+// second the bucket holds (sec / kBuckets — tag and slot index together
+// name the second; the tag wraps after ~8.5 years), then the `total`
+// and `good` sample counts in 21 bits each. Counts saturate at kCountMax
+// samples per second per series.
+struct BucketWord {
+  std::uint64_t tag, total, good;
+};
+
+constexpr int kCountBits = 21;
+constexpr std::uint64_t kCountMax = (1ull << kCountBits) - 1;
+constexpr std::uint64_t kTagMask = (1ull << (64 - 2 * kCountBits)) - 1;
+
+std::uint64_t tag_of(std::uint64_t sec) {
+  return (sec / SloMonitor::kBuckets) & kTagMask;
+}
+
+BucketWord unpack(std::uint64_t w) {
+  return {w >> (2 * kCountBits), (w >> kCountBits) & kCountMax,
+          w & kCountMax};
+}
+
+std::uint64_t pack(const BucketWord& b) {
+  return (b.tag << (2 * kCountBits)) | (b.total << kCountBits) | b.good;
+}
+
+}  // namespace
+
 void SloMonitor::configure(const SloConfig& cfg) { cfg_ = cfg; }
 
 void SloMonitor::record(Series& s, std::uint64_t now_us, bool good) {
   const std::uint64_t sec = now_us / 1000000u;
-  Bucket& b = s.b[sec % kBuckets];
-  std::uint64_t held = b.second.load(std::memory_order_relaxed);
-  if (held != sec) {
-    // The bucket last held a second at least kBuckets ago: recycle it.
-    // Racing recorders both reset; the loser's counts for the stale
-    // second are dropped, which is fine for a sliding-window estimate.
-    b.second.store(sec, std::memory_order_relaxed);
-    b.total.store(0, std::memory_order_relaxed);
-    b.good.store(0, std::memory_order_relaxed);
+  const std::uint64_t tag = tag_of(sec);
+  std::atomic<std::uint64_t>& slot = s.b[sec % kBuckets];
+  // Recycling a stale bucket and counting the sample are one CAS on one
+  // word, so:
+  //  - no sample is lost: a recorder whose CAS fails re-reads the word
+  //    (now holding the other recorder's recycle and sample) and retries
+  //    on top of it, instead of zeroing counts already added;
+  //  - every word ever stored has good <= total (both start at 0 and
+  //    `good` only grows together with `total`), and a snapshot reads
+  //    each bucket with one load, so attainment never exceeds 1.
+  std::uint64_t cur = slot.load(std::memory_order_relaxed);
+  for (;;) {
+    BucketWord w = unpack(cur);
+    if (w.tag != tag) w = {tag, 0, 0};
+    if (w.total < kCountMax) {
+      ++w.total;
+      if (good) ++w.good;
+    }
+    if (slot.compare_exchange_weak(cur, pack(w), std::memory_order_relaxed)) {
+      return;
+    }
   }
-  b.total.fetch_add(1, std::memory_order_relaxed);
-  if (good) b.good.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SloMonitor::record_ttft(std::uint64_t now_us, double ttft_ms) {
@@ -39,10 +79,11 @@ SloWindow SloMonitor::window(const Series& s, std::uint64_t now_sec,
   for (int i = 0; i < width; ++i) {
     if (now_sec < static_cast<std::uint64_t>(i)) break;
     const std::uint64_t sec = now_sec - static_cast<std::uint64_t>(i);
-    const Bucket& b = s.b[sec % kBuckets];
-    if (b.second.load(std::memory_order_relaxed) != sec) continue;
-    total += b.total.load(std::memory_order_relaxed);
-    good += b.good.load(std::memory_order_relaxed);
+    const BucketWord b =
+        unpack(s.b[sec % kBuckets].load(std::memory_order_relaxed));
+    if (b.tag != tag_of(sec)) continue;
+    total += b.total;
+    good += b.good;
   }
   SloWindow w;
   w.total = total;
@@ -90,11 +131,7 @@ void SloMonitor::publish(std::uint64_t now_us) {
 
 void SloMonitor::reset() {
   for (Series* s : {&ttft_, &gap_}) {
-    for (auto& b : s->b) {
-      b.second.store(0, std::memory_order_relaxed);
-      b.total.store(0, std::memory_order_relaxed);
-      b.good.store(0, std::memory_order_relaxed);
-    }
+    for (auto& b : s->b) b.store(0, std::memory_order_relaxed);
   }
 }
 

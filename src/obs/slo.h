@@ -16,9 +16,10 @@
 // The serve layer records samples from the engine thread inside blocks
 // already gated on metrics_enabled(); the monitor itself has an
 // `enabled` latch so campaign runs (which share the global registry)
-// never see SLO gauges unless a server armed them. Buckets are relaxed
-// atomics — recording is single-writer in practice (engine thread) but
-// snapshots race with it harmlessly.
+// never see SLO gauges unless a server armed them. Each bucket is ONE
+// atomic word packing (tag, total, good), updated by a CAS loop — see
+// SloMonitor::record for why that makes concurrent recording and
+// snapshotting exact.
 
 #include <atomic>
 #include <cstdint>
@@ -70,13 +71,10 @@ class SloMonitor {
   static SloMonitor& global();
 
  private:
-  struct Bucket {
-    std::atomic<std::uint64_t> second{0};  // wall second this bucket holds
-    std::atomic<std::uint64_t> total{0};
-    std::atomic<std::uint64_t> good{0};
-  };
+  // One packed (tag, total, good) word per wall second; layout in
+  // slo.cpp.
   struct Series {
-    Bucket b[kBuckets];
+    std::atomic<std::uint64_t> b[kBuckets] = {};
   };
 
   void record(Series& s, std::uint64_t now_us, bool good);

@@ -406,5 +406,40 @@ TEST(Tracer, MismatchedCapturesThrow) {
   EXPECT_THROW(diff_captures(a, b), std::invalid_argument);
 }
 
+// A throwing capture (the prompt overflows max_seq mid-pass) must put the
+// previously installed hook back and leave nothing of its recorder on the
+// engine: the next forward sees only that hook.
+TEST(Tracer, CaptureRestoresHookAfterThrow) {
+  auto cfg = tiny_config();
+  cfg.max_seq = 16;
+  const auto w = model::ModelWeights::init(cfg);
+  model::InferenceModel m(w, {});
+  model::InferenceModel ref(w, {});
+
+  struct CountingHook : nn::LinearHook {
+    int calls = 0;
+    void on_linear_output(const nn::LinearId&, tn::Tensor&, int,
+                          int) override {
+      ++calls;
+    }
+  } counter;
+  m.set_linear_hook(&counter);
+  std::vector<tok::TokenId> long_prompt(40, 3);
+  EXPECT_THROW(capture_layer_outputs(m, long_prompt), std::invalid_argument);
+  EXPECT_EQ(m.linear_hook(), &counter);
+
+  counter.calls = 0;
+  const auto prompt = tokens({1, 2, 3});
+  auto cache = m.make_cache();
+  auto ref_cache = ref.make_cache();
+  const tn::Tensor got = m.forward(prompt, cache, 0);
+  const tn::Tensor want = ref.forward(prompt, ref_cache, 0);
+  EXPECT_EQ(counter.calls, 14);  // 7 linears x 2 blocks
+  ASSERT_EQ(got.shape(), want.shape());
+  for (size_t i = 0; i < got.flat().size(); ++i) {
+    ASSERT_EQ(num::f32_bits(got.flat()[i]), num::f32_bits(want.flat()[i]));
+  }
+}
+
 }  // namespace
 }  // namespace llmfi::core

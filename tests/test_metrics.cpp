@@ -21,6 +21,10 @@ struct NamedMetric {
   MetricFn fn;
 };
 
+// Names the ctest parameter by metric instead of by its pointer bytes,
+// which change from run to run.
+void PrintTo(const NamedMetric& m, std::ostream* os) { *os << m.name; }
+
 class SimilarityMetric : public ::testing::TestWithParam<NamedMetric> {};
 
 TEST_P(SimilarityMetric, PerfectMatchScoresOne) {

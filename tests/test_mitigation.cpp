@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "core/detector.h"
 #include "core/injector.h"
@@ -215,6 +216,56 @@ TEST(Detector, MantissaFlipStaysUnderRadar) {
   f.engine.set_linear_hook(nullptr);
   EXPECT_TRUE(injector.fired());
   EXPECT_FALSE(det.triggered());
+}
+
+// The profilers install their probe for the duration of the profiling
+// forwards only. When a prompt overflows max_seq mid-pass, the previously
+// installed hook must be back and the next forward must be clean.
+void expect_profiler_restores_hook_after_throw(
+    const std::function<void(model::InferenceModel&, const tok::Vocab&,
+                             const std::vector<std::string>&)>& profile) {
+  auto cfg = tiny_config();
+  cfg.max_seq = 16;
+  const auto w = model::ModelWeights::init(cfg);
+  model::InferenceModel engine(w, {});
+  model::InferenceModel ref(w, {});
+  Fixture f;
+  std::string long_prompt = "a";
+  for (int i = 1; i < 40; ++i) long_prompt += " b";
+
+  RangeRestrictionHook previous(ActivationProfile{});
+  engine.set_linear_hook(&previous);
+  EXPECT_THROW(profile(engine, f.vocab, {long_prompt}),
+               std::invalid_argument);
+  EXPECT_EQ(engine.linear_hook(), &previous);
+
+  ref.set_linear_hook(&previous);
+  const auto ids = f.vocab.encode("a b c");
+  auto cache = engine.make_cache();
+  auto ref_cache = ref.make_cache();
+  const tn::Tensor got = engine.forward(ids, cache, 0);
+  const tn::Tensor want = ref.forward(ids, ref_cache, 0);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (size_t i = 0; i < got.flat().size(); ++i) {
+    ASSERT_EQ(got.flat()[i], want.flat()[i]) << "logit " << i;
+  }
+  EXPECT_FALSE(engine.saw_nonfinite_logits());
+}
+
+TEST(Mitigation, ProfileActivationsRestoresHookAfterThrow) {
+  expect_profiler_restores_hook_after_throw(
+      [](model::InferenceModel& e, const tok::Vocab& v,
+         const std::vector<std::string>& p) {
+        (void)profile_activations(e, v, p, 2.0f);
+      });
+}
+
+TEST(ChecksumDetector, ProfileRestoresHookAfterThrow) {
+  expect_profiler_restores_hook_after_throw(
+      [](model::InferenceModel& e, const tok::Vocab& v,
+         const std::vector<std::string>& p) {
+        (void)profile_checksums(e, v, p);
+      });
 }
 
 TEST(ChecksumDetector, ProfileCoversEveryLinearLayer) {

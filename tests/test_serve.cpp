@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <memory>
 
 #include "eval/campaign.h"
 #include "numerics/half.h"
@@ -138,6 +141,127 @@ TEST(ForwardBatch, RowsBitIdenticalToSequentialForward) {
                                 seq_caches[i].values(blk), last);
     }
   }
+}
+
+// Scales one layer kind's output, optionally plants a NaN in block 1's
+// attention output, and logs the coordinates of every call it sees.
+class ProbeHook : public nn::LinearHook {
+ public:
+  ProbeHook(nn::LayerKind kind, float scale, bool plant_nan)
+      : kind_(kind), scale_(scale), plant_nan_(plant_nan) {}
+  void on_linear_output(const nn::LinearId& id, tn::Tensor& y, int pass_index,
+                        int row_offset) override {
+    calls.push_back({id.block, static_cast<int>(id.kind), id.expert,
+                     pass_index, row_offset, static_cast<int>(y.rows())});
+    if (id.kind == kind_) {
+      for (float& v : y.flat()) v *= scale_;
+    }
+    if (plant_nan_ && id == nn::LinearId{1, nn::LayerKind::OProj, -1}) {
+      y.flat()[0] = std::numeric_limits<float>::quiet_NaN();
+    }
+  }
+  std::vector<std::array<int, 6>> calls;
+
+ private:
+  nn::LayerKind kind_;
+  float scale_;
+  bool plant_nan_;
+};
+
+class SelectionLog : public nn::ExpertObserver {
+ public:
+  void on_expert_selection(int block, int token_position,
+                           std::span<const int> experts) override {
+    log[token_position].push_back(
+        {block, std::vector<int>(experts.begin(), experts.end())});
+  }
+  std::map<int, std::vector<std::pair<int, std::vector<int>>>> log;
+};
+
+TEST(ForwardBatch, MoeMixedHookedRowsMatchSequentialForward) {
+  auto cfg = tiny_config();
+  cfg.moe = true;
+  cfg.n_experts = 4;
+  cfg.top_k = 2;
+  model::InferenceModel m(model::ModelWeights::init(cfg), {});
+  // Distinct prompt lengths give every row a distinct decode position, so
+  // expert selections can be told apart by position.
+  const std::vector<std::vector<tok::TokenId>> prompts = {
+      tokens({1, 4, 7}), tokens({2}), tokens({3, 5, 9, 11, 6}),
+      tokens({8, 2, 2, 1})};
+  const auto make_hook = [](size_t i) -> std::unique_ptr<ProbeHook> {
+    switch (i) {
+      case 0:
+        return std::make_unique<ProbeHook>(nn::LayerKind::ExpertUp, 1.5f,
+                                           false);
+      case 2:
+        return std::make_unique<ProbeHook>(nn::LayerKind::Router, 0.5f, true);
+      case 3:
+        return std::make_unique<ProbeHook>(nn::LayerKind::QProj, 2.0f, false);
+      default:
+        return nullptr;  // row 1 runs unhooked
+    }
+  };
+
+  std::vector<nn::KvCache> seq_caches;
+  std::vector<tok::TokenId> next;
+  for (const auto& p : prompts) {
+    auto cache = m.make_cache();
+    auto logits = m.forward(p, cache, 0);
+    next.push_back(
+        static_cast<tok::TokenId>(tn::argmax_row(logits, logits.rows() - 1)));
+    seq_caches.push_back(std::move(cache));
+  }
+  std::vector<nn::KvCache> batch_caches = seq_caches;
+
+  std::vector<std::unique_ptr<ProbeHook>> batch_hooks;
+  std::vector<model::InferenceModel::BatchRow> rows;
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    batch_hooks.push_back(make_hook(i));
+    rows.push_back({.cache = &batch_caches[i],
+                    .token = next[i],
+                    .pass_index = 1,
+                    .hook = batch_hooks[i].get(),
+                    .nonfinite = false});
+  }
+  // An engine hook installed alongside the row hooks must stay silent.
+  ProbeHook engine_hook(nn::LayerKind::QProj, 1.0f, false);
+  SelectionLog batch_sel;
+  m.set_linear_hook(&engine_hook);
+  m.set_expert_observer(&batch_sel);
+  m.reset_diagnostics();
+  const tn::Tensor batch_logits = m.forward_batch(rows);
+  EXPECT_TRUE(engine_hook.calls.empty());
+  EXPECT_FALSE(m.saw_nonfinite_logits());
+
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    auto ref_hook = make_hook(i);
+    SelectionLog seq_sel;
+    m.set_linear_hook(ref_hook.get());
+    m.set_expert_observer(&seq_sel);
+    m.reset_diagnostics();
+    const tok::TokenId input = next[i];
+    const tn::Tensor ref = m.forward(std::span(&input, 1), seq_caches[i], 1);
+
+    expect_rows_bitwise_equal(batch_logits, static_cast<tn::Index>(i), ref, 0);
+    EXPECT_EQ(rows[i].nonfinite, m.saw_nonfinite_logits());
+    EXPECT_EQ(rows[i].nonfinite, i == 2);
+    if (ref_hook != nullptr) {
+      EXPECT_EQ(batch_hooks[i]->calls, ref_hook->calls);
+    }
+    const int pos = static_cast<int>(seq_caches[i].length()) - 1;
+    EXPECT_EQ(batch_sel.log[pos], seq_sel.log[pos]);
+    EXPECT_EQ(seq_sel.log.size(), 1u);
+    for (int blk = 0; blk < m.config().n_layers; ++blk) {
+      expect_rows_bitwise_equal(batch_caches[i].keys(blk), pos,
+                                seq_caches[i].keys(blk), pos);
+      expect_rows_bitwise_equal(batch_caches[i].values(blk), pos,
+                                seq_caches[i].values(blk), pos);
+    }
+  }
+  m.set_linear_hook(nullptr);
+  m.set_expert_observer(nullptr);
 }
 
 // --- BatchEngine vs gen::generate ---------------------------------------
